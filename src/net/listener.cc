@@ -14,6 +14,19 @@ namespace {
 
 constexpr std::size_t kReadChunk = 4096;
 
+// The answer to a request that never reaches a wave: a typed status,
+// no payload, serve_seq 0.
+ResponseMsg Unserved(std::uint64_t id, const runtime::Request& request,
+                     runtime::Status status) {
+  ResponseMsg out;
+  out.id = id;
+  out.response.status = status;
+  out.response.kind = request.kind;
+  out.response.source = request.source;
+  out.response.graph = request.graph;
+  return out;
+}
+
 }  // namespace
 
 Listener::Listener(const runtime::QueryService* service,
@@ -61,22 +74,23 @@ bool Listener::Open(std::string* error) {
   return true;
 }
 
-void Listener::Shutdown() {
-  draining_.store(true);
+void Listener::Wake() {
   if (wake_fds_[1] >= 0) {
     const char byte = 'w';
     [[maybe_unused]] ssize_t n = write(wake_fds_[1], &byte, 1);
   }
 }
 
+void Listener::Shutdown() {
+  draining_.store(true);
+  Wake();
+}
+
 void Listener::Pause() { paused_.store(true); }
 
 void Listener::Resume() {
   paused_.store(false);
-  if (wake_fds_[1] >= 0) {
-    const char byte = 'w';
-    [[maybe_unused]] ssize_t n = write(wake_fds_[1], &byte, 1);
-  }
+  Wake();
 }
 
 void Listener::Start() {
@@ -91,6 +105,11 @@ int Listener::Join() {
 ListenerStats Listener::Stats() const {
   std::lock_guard<std::mutex> lock(stats_mu_);
   return stats_;
+}
+
+int Listener::num_workers() const {
+  const int cores = static_cast<int>(std::thread::hardware_concurrency());
+  return std::max(1, std::min(cores - 1, 3 * service_->num_graphs()));
 }
 
 void Listener::AcceptNew() {
@@ -139,11 +158,10 @@ void Listener::SendError(Connection* conn, ErrorCode code,
   ++stats_.protocol_errors;
 }
 
-void Listener::SendResponse(Connection* conn, const ResponseMsg& msg) {
+// Callers count responses_sent, so one stats lock covers a whole batch.
+void Listener::AppendResponse(Connection* conn, const ResponseMsg& msg) {
   const std::vector<std::uint8_t> frame = EncodeResponse(msg);
   conn->wbuf.insert(conn->wbuf.end(), frame.begin(), frame.end());
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++stats_.responses_sent;
 }
 
 bool Listener::HandleFrame(Connection* conn, const Frame& frame) {
@@ -194,47 +212,33 @@ bool Listener::HandleFrame(Connection* conn, const Frame& frame) {
         SendError(conn, ErrorCode::kBadMessage, "undecodable REQUEST payload");
         return true;
       }
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.tenants[conn->tenant].arrivals;
-      }
       // Validation rejections and queue-bound rejections answer
       // immediately with serve_seq 0 -- they never reach a wave, so
       // they overtake queued work on the wire (id-matched, not
       // order-matched).
-      const runtime::Status v = service_->Validate(req.request);
-      if (v != runtime::Status::kOk) {
-        ResponseMsg out;
-        out.id = req.id;
-        out.response.status = v;
-        out.response.kind = req.request.kind;
-        out.response.source = req.request.source;
-        out.response.graph = req.request.graph;
-        SendResponse(conn, out);
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.tenants[conn->tenant].rejected_invalid;
-        return true;
+      const runtime::Status valid = service_->Validate(req.request);
+      bool admitted = false;
+      if (valid == runtime::Status::kOk) {
+        PendingRequest pending;
+        pending.id = req.id;
+        pending.connection = conn->id;
+        pending.enqueue_ns = NowNs();
+        pending.request = req.request;
+        admitted = wfq_.Enqueue(conn->tenant, std::move(pending));
       }
-      PendingRequest pending;
-      pending.id = req.id;
-      pending.connection = conn->id;
-      pending.enqueue_ns = NowNs();
-      pending.request = req.request;
-      if (!wfq_.Enqueue(conn->tenant, std::move(pending))) {
-        ResponseMsg out;
-        out.id = req.id;
-        out.response.status = runtime::Status::kOverloaded;
-        out.response.kind = req.request.kind;
-        out.response.source = req.request.source;
-        out.response.graph = req.request.graph;
-        SendResponse(conn, out);
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.tenants[conn->tenant].rejected_overload;
-        return true;
+      const bool overloaded = valid == runtime::Status::kOk && !admitted;
+      if (!admitted) {
+        AppendResponse(conn, Unserved(req.id, req.request,
+                                      overloaded ? runtime::Status::kOverloaded
+                                                 : valid));
       }
       std::lock_guard<std::mutex> lock(stats_mu_);
-      stats_.tenants[conn->tenant].queue_depth =
-          wfq_.tenant_depth(conn->tenant);
+      TenantStats& t = stats_.tenants[conn->tenant];
+      ++t.arrivals;
+      if (!admitted) ++stats_.responses_sent;
+      if (overloaded) ++t.rejected_overload;
+      if (valid != runtime::Status::kOk) ++t.rejected_invalid;
+      t.queue_depth = wfq_.tenant_depth(conn->tenant);
       return true;
     }
     case FrameType::kGoodbye:
@@ -322,35 +326,131 @@ int Listener::EffectiveLanes() const {
   return std::max(1, std::min(lanes, service_->max_lanes()));
 }
 
-void Listener::DispatchBatch() {
-  std::vector<PendingRequest> batch =
-      wfq_.PopBatch(static_cast<std::size_t>(EffectiveLanes()));
-  if (batch.empty()) return;
-  std::vector<runtime::Request> requests;
-  requests.reserve(batch.size());
-  for (const PendingRequest& p : batch) requests.push_back(p.request);
-  const std::vector<runtime::Response> responses =
-      service_->SubmitBatch(requests);
-  const std::uint64_t now = NowNs();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const PendingRequest& p = batch[i];
-    ResponseMsg out;
-    out.id = p.id;
-    out.serve_seq = ++serve_seq_;
-    out.latency_ns = now > p.enqueue_ns ? now - p.enqueue_ns : 0;
-    out.response = responses[i];
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      TenantStats& t = stats_.tenants[p.tenant];
-      ++t.served;
-      t.latencies_ns.push_back(out.latency_ns);
-      t.queue_depth = wfq_.tenant_depth(p.tenant);
+void Listener::DispatchBatches() {
+  const int workers = static_cast<int>(workers_.size());
+  while (outstanding_jobs_ < workers && wfq_.TotalPending() > 0) {
+    std::vector<PendingRequest> batch =
+        wfq_.PopBatch(static_cast<std::size_t>(EffectiveLanes()));
+    const std::uint64_t now = NowNs();
+    std::vector<Job> jobs;
+    std::vector<Completion> shed;
+    for (PendingRequest& p : batch) {
+      const runtime::Request& request = p.request;
+      if (request.deadline_ns > 0 && now > p.enqueue_ns + request.deadline_ns) {
+        // Cannot start by its deadline: answer without running it.
+        Completion c;
+        c.connection = p.connection;
+        c.tenant = p.tenant;
+        c.msg = Unserved(p.id, request, runtime::Status::kDeadlineExceeded);
+        c.msg.latency_ns = now - p.enqueue_ns;
+        shed.push_back(std::move(c));
+        continue;
+      }
+      auto job = std::find_if(jobs.begin(), jobs.end(), [&](const Job& j) {
+        const runtime::Request& first = j.requests.front().request;
+        return first.graph == request.graph && first.kind == request.kind;
+      });
+      if (job == jobs.end()) job = jobs.emplace(jobs.end());
+      job->requests.push_back(std::move(p));
+      job->serve_seqs.push_back(++serve_seq_);
     }
+    Deliver(shed);
+    if (jobs.empty()) continue;
+    outstanding_jobs_ += static_cast<int>(jobs.size());
+    {
+      std::lock_guard<std::mutex> lock(work_mu_);
+      for (Job& job : jobs) jobs_.push_back(std::move(job));
+    }
+    work_cv_.notify_all();
+  }
+}
+
+void Listener::WorkerLoop() {
+  for (;;) {
+    Job job;
+    {
+      std::unique_lock<std::mutex> lock(work_mu_);
+      work_cv_.wait(lock, [this] { return stop_workers_ || !jobs_.empty(); });
+      if (stop_workers_) return;
+      job = std::move(jobs_.front());
+      jobs_.pop_front();
+    }
+    std::vector<runtime::Request> requests;
+    requests.reserve(job.requests.size());
+    for (const PendingRequest& p : job.requests) requests.push_back(p.request);
+    std::vector<runtime::Response> responses = service_->SubmitBatch(requests);
+    const std::uint64_t now = NowNs();
+    std::vector<Completion> done(job.requests.size());
+    for (std::size_t i = 0; i < done.size(); ++i) {
+      const PendingRequest& p = job.requests[i];
+      done[i].connection = p.connection;
+      done[i].tenant = p.tenant;
+      done[i].msg.id = p.id;
+      done[i].msg.serve_seq = job.serve_seqs[i];
+      done[i].msg.latency_ns = now > p.enqueue_ns ? now - p.enqueue_ns : 0;
+      done[i].msg.response = std::move(responses[i]);
+    }
+    bool was_empty;
+    {
+      std::lock_guard<std::mutex> lock(work_mu_);
+      was_empty = completions_.empty();
+      completions_.push_back(std::move(done));
+    }
+    // One wake byte per empty -> nonempty transition: the poll thread
+    // takes every posted job at once, so the pipe never fills.
+    if (was_empty) Wake();
+  }
+}
+
+void Listener::StopWorkers() {
+  {
+    std::lock_guard<std::mutex> lock(work_mu_);
+    stop_workers_ = true;
+  }
+  work_cv_.notify_all();
+  for (std::thread& worker : workers_) worker.join();
+  workers_.clear();
+}
+
+void Listener::DeliverCompletions() {
+  std::vector<std::vector<Completion>> posted;
+  {
+    std::lock_guard<std::mutex> lock(work_mu_);
+    posted.swap(completions_);
+  }
+  if (posted.empty()) return;
+  outstanding_jobs_ -= static_cast<int>(posted.size());
+  std::vector<Completion> done;
+  for (std::vector<Completion>& job : posted) {
+    for (Completion& c : job) done.push_back(std::move(c));
+  }
+  Deliver(done);
+}
+
+void Listener::Deliver(const std::vector<Completion>& done) {
+  std::uint64_t sent = 0;
+  for (const Completion& c : done) {
     // The origin connection may have gone away while the request was
-    // queued; monotonic ids make that a clean drop, never a delivery
-    // to whoever reused the fd.
-    auto it = conns_.find(p.connection);
-    if (it != conns_.end()) SendResponse(&it->second, out);
+    // queued or running; monotonic ids make that a clean drop, never a
+    // delivery to whoever reused the fd.
+    auto it = conns_.find(c.connection);
+    if (it == conns_.end()) continue;
+    AppendResponse(&it->second, c.msg);
+    ++sent;
+  }
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  stats_.responses_sent += sent;
+  for (const Completion& c : done) {
+    TenantStats& t = stats_.tenants[c.tenant];
+    if (c.msg.response.status == runtime::Status::kDeadlineExceeded) {
+      ++t.dropped_deadline;
+    } else {
+      ++t.served;
+      t.latencies_ns.push_back(c.msg.latency_ns);
+    }
+  }
+  for (std::size_t t = 0; t < stats_.tenants.size(); ++t) {
+    stats_.tenants[t].queue_depth = wfq_.tenant_depth(static_cast<int>(t));
   }
 }
 
@@ -363,21 +463,26 @@ void Listener::CloseConnection(std::uint64_t id) {
 }
 
 bool Listener::DrainComplete() const {
-  return wfq_.TotalPending() == 0 && conns_.empty();
+  return wfq_.TotalPending() == 0 && outstanding_jobs_ == 0 && conns_.empty();
 }
 
 int Listener::Run() {
+  for (int i = num_workers(); i > 0; --i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
+  }
   std::vector<pollfd> fds;
   std::vector<std::uint64_t> fd_conn_ids;
   bool drain_marked = false;
 
   for (;;) {
+    DeliverCompletions();
     const bool draining = draining_.load();
     if (draining && !drain_marked) {
       drain_marked = true;
       drain_started_ns_ = NowNs();
       for (auto& [id, conn] : conns_) conn.stop_reading = true;
     }
+    if (!paused_.load() || draining) DispatchBatches();
     if (draining && DrainComplete()) break;
 
     fds.clear();
@@ -400,11 +505,10 @@ int Listener::Run() {
       fd_conn_ids.push_back(id);
     }
 
-    const bool dispatch_ready =
-        (!paused_.load() || draining) && wfq_.TotalPending() > 0;
-    int timeout = dispatch_ready ? 0 : options_.poll_timeout_ms;
-    if (draining) timeout = std::min(timeout, 20);
-
+    // Everything dispatchable was dispatched above, so poll blocks: new
+    // bytes, a worker's completion, Resume or Shutdown all wake it.
+    const int timeout = draining ? std::min(options_.poll_timeout_ms, 20)
+                                 : options_.poll_timeout_ms;
     const int ready = poll(fds.data(), fds.size(), timeout);
     if (ready < 0 && errno != EINTR) break;
 
@@ -452,29 +556,22 @@ int Listener::Run() {
     }
     for (std::uint64_t id : to_close) CloseConnection(id);
 
-    if ((!paused_.load() || draining) && wfq_.TotalPending() > 0) {
-      DispatchBatch();
-    }
-
     if (draining) {
-      // Connections with nothing pending in either direction are done.
+      // Once nothing is queued or on a worker, connections with empty
+      // write buffers are done. (Conservative: any pending work anywhere
+      // keeps every connection open until it is answered.)
+      const bool work_pending =
+          wfq_.TotalPending() > 0 || outstanding_jobs_ > 0;
       std::vector<std::uint64_t> done;
       for (auto& [id, conn] : conns_) {
-        bool has_queued = false;
-        // A connection with queued-but-undispatched work must stay
-        // until DispatchBatch answers it.
-        if (wfq_.TotalPending() > 0) {
-          // Cheap conservative check; per-connection scan not needed
-          // because dispatch drains the whole WFQ before conns empty.
-          has_queued = true;
-        }
-        if (!has_queued && conn.wbuf.empty()) done.push_back(id);
+        if (!work_pending && conn.wbuf.empty()) done.push_back(id);
       }
       for (std::uint64_t id : done) CloseConnection(id);
       const std::uint64_t now = NowNs();
       const std::uint64_t budget =
           static_cast<std::uint64_t>(options_.drain_timeout_ms) * 1000000ull;
       if (now - drain_started_ns_ > budget && !DrainComplete()) {
+        if (work_pending) force_closed_ = true;  // Answers never sent.
         for (auto& [id, conn] : conns_) {
           if (!conn.wbuf.empty()) force_closed_ = true;
         }
@@ -485,6 +582,7 @@ int Listener::Run() {
       }
     }
   }
+  StopWorkers();
   return force_closed_ ? 1 : 0;
 }
 

@@ -1,13 +1,23 @@
 // net::Listener: the wire-protocol front end over runtime::QueryService.
 //
-// A single-threaded poll(2) event loop owns every connection: accept,
-// nonblocking reads into a per-connection buffer, frame decode, a
-// Hello-first handshake establishing the connection's tenant identity
-// (name + WFQ weight), admission into the deficit-round-robin
-// WeightedFairQueue, dispatch of DRR batches through
-// QueryService::SubmitBatch (the existing adaptive wave batcher), and
-// buffered nonblocking writes of the responses back to each request's
-// origin connection.
+// A poll(2) event loop owns every connection and the
+// WeightedFairQueue: accept, nonblocking reads into a per-connection
+// buffer, frame decode, a Hello-first handshake establishing the
+// connection's tenant identity (name + WFQ weight), admission into the
+// deficit-round-robin queue, response encoding, and buffered
+// nonblocking writes back to each request's origin connection.
+//
+// Waves run off the poll thread, on a fixed pool of dispatch workers
+// (clamp(hardware_concurrency() - 1, 1, 3 x num_graphs), started by
+// Run() and joined before it returns). The poll thread is the only WFQ
+// caller: it pops a DRR batch only while a worker is free (fewer
+// undelivered jobs than workers), stamps serve_seq in pop order, sheds
+// requests whose deadline has passed (kDeadlineExceeded, never run),
+// and splits the rest into one job per (shard, kind) group. Each job is
+// one QueryService::SubmitBatch on a worker, so a cheap BFS wave never
+// waits behind a costly SSSP or CC wave. Workers post finished jobs to
+// a mutex-guarded completion queue and wake the poll thread through
+// the self-pipe; the poll thread moves them into write buffers.
 //
 // Protocol violations are connection-fatal and loud: the offender gets
 // one typed kError frame (malformed frame, version skew, hello
@@ -16,21 +26,23 @@
 // Shutdown is a graceful drain: Shutdown() (or a byte written to
 // shutdown_write_fd(), which is async-signal-safe for SIGINT/SIGTERM
 // handlers) stops accepting and stops reading, every already-admitted
-// request is still served, write buffers are flushed, and connections
-// close once empty. Connections that cannot drain within
-// drain_timeout_ms are force-closed so a dead peer cannot wedge the
-// server.
+// request is still served -- including jobs in flight on a worker --
+// write buffers are flushed, and connections close once empty.
+// Connections that cannot drain within drain_timeout_ms are
+// force-closed so a dead peer cannot wedge the server.
 //
-// Pause()/Resume() gate only the dispatch step -- admission keeps
-// running -- which lets tests (and operators) build a known multi-tenant
-// backlog and then observe the exact DRR service order via the
-// serve_seq stamped on every response.
+// Pause()/Resume() gate only the pop step -- admission keeps running
+// and jobs already on a worker finish -- which lets tests (and
+// operators) build a known multi-tenant backlog and then observe the
+// exact DRR service order via the serve_seq stamped on every response.
 
 #ifndef EMOGI_NET_LISTENER_H_
 #define EMOGI_NET_LISTENER_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -50,7 +62,7 @@ struct ListenerOptions {
   std::size_t tenant_queue_bound = 64;  // Per-tenant WFQ queue bound.
   // Wave width per dispatch batch; 0 = the service's own max_lanes.
   int max_lanes = 0;
-  bool start_paused = false;      // Begin with dispatch gated off.
+  bool start_paused = false;      // Begin with the WFQ pop gated off.
   int drain_timeout_ms = 5000;    // Force-close undrained peers after this.
   int poll_timeout_ms = 200;      // Idle poll tick.
 };
@@ -60,10 +72,11 @@ struct TenantStats {
   std::string name;
   std::uint32_t weight = 1;
   std::uint64_t arrivals = 0;          // Well-formed requests received.
-  std::uint64_t served = 0;            // Dispatched through a wave.
+  std::uint64_t served = 0;            // Answered by a finished wave.
   std::uint64_t rejected_overload = 0; // Tenant queue at bound on arrival.
   std::uint64_t rejected_invalid = 0;  // Failed QueryService::Validate.
-  std::size_t queue_depth = 0;         // Pending at snapshot time.
+  std::uint64_t dropped_deadline = 0;  // Deadline passed before the pop.
+  std::size_t queue_depth = 0;         // In the WFQ, not yet popped.
   std::vector<std::uint64_t> latencies_ns;  // Admission->served, per query.
 };
 
@@ -91,9 +104,10 @@ class Listener {
   // The bound address -- for TCP port 0, the kernel-assigned port.
   const Address& bound_address() const { return address_; }
 
-  // Runs the event loop on the calling thread until drained shutdown.
-  // Returns 0 on a clean drain, 1 if any connection was force-closed
-  // with undelivered responses.
+  // Runs the event loop on the calling thread until drained shutdown,
+  // with the dispatch workers on threads of its own. Returns 0 on a
+  // clean drain, 1 if the drain timed out with answers undelivered
+  // (queued, on a worker, or in a write buffer).
   int Run();
 
   // Run() on a background thread / join it (for in-process tests).
@@ -107,11 +121,14 @@ class Listener {
   // Shutdown without taking locks. Valid after Open().
   int shutdown_write_fd() const { return wake_fds_[1]; }
 
-  // Dispatch gate (admission continues while paused).
+  // WFQ pop gate (admission continues while paused).
   void Pause();
   void Resume();
 
   ListenerStats Stats() const;
+
+  // Dispatch workers Run() starts: the fixed rule in the header comment.
+  int num_workers() const;
 
  private:
   struct Connection {
@@ -126,6 +143,21 @@ class Listener {
     bool stop_reading = false;     // No more POLLIN (drain or error).
   };
 
+  // One (shard, kind) group of a popped batch, run by one worker.
+  struct Job {
+    std::vector<PendingRequest> requests;
+    std::vector<std::uint64_t> serve_seqs;  // Parallel to requests.
+  };
+  // A finished job's answers, ready for the origin connections.
+  struct Completion {
+    std::uint64_t connection = 0;
+    int tenant = 0;
+    ResponseMsg msg;
+  };
+
+  void WorkerLoop();
+  void StopWorkers();
+  void Wake();
   void AcceptNew();
   int EffectiveLanes() const;
   // False => connection must be closed now.
@@ -134,8 +166,11 @@ class Listener {
   bool ProcessFrames(Connection* conn);
   bool HandleFrame(Connection* conn, const Frame& frame);
   void SendError(Connection* conn, ErrorCode code, const std::string& what);
-  void SendResponse(Connection* conn, const ResponseMsg& msg);
-  void DispatchBatch();
+  void AppendResponse(Connection* conn, const ResponseMsg& msg);
+  void DispatchBatches();
+  void DeliverCompletions();
+  // Writes answers to their origin connections; one stats lock for all.
+  void Deliver(const std::vector<Completion>& done);
   void CloseConnection(std::uint64_t id);
   bool DrainComplete() const;
   static std::uint64_t NowNs();
@@ -152,6 +187,16 @@ class Listener {
 
   WeightedFairQueue wfq_;
   std::uint64_t serve_seq_ = 0;
+  // Jobs handed to workers whose completions the poll thread has not
+  // delivered yet (queued, running, or posted). Poll thread only.
+  int outstanding_jobs_ = 0;
+
+  std::mutex work_mu_;  // Guards jobs_, completions_, stop_workers_.
+  std::condition_variable work_cv_;
+  std::deque<Job> jobs_;
+  std::vector<std::vector<Completion>> completions_;  // One entry per job.
+  bool stop_workers_ = false;
+  std::vector<std::thread> workers_;  // Started and joined by Run().
 
   std::atomic<bool> draining_{false};
   std::atomic<bool> paused_{false};

@@ -129,13 +129,15 @@ struct RequestMsg {
 
 struct ResponseMsg {
   std::uint64_t id = 0;
-  // Server-wide dispatch sequence number (1-based) of served requests;
-  // 0 for immediate rejections (kInvalidSource / kOverloaded) that
-  // never reached a wave. Totally orders service across tenants, which
-  // is what the WFQ isolation gates measure.
+  // Server-wide dispatch sequence number (1-based) of served requests,
+  // stamped in DRR pop order; 0 for answers that never reached a wave
+  // (kInvalidSource / kOverloaded / kDeadlineExceeded). Totally orders
+  // service across tenants, which is what the WFQ isolation gates
+  // measure.
   std::uint64_t serve_seq = 0;
   // Wall-clock ns from admission to wave completion on the server
-  // (0 for immediate rejections).
+  // (for kDeadlineExceeded, to the pop that shed it; 0 for immediate
+  // rejections).
   std::uint64_t latency_ns = 0;
   runtime::Response response;
 };

@@ -21,6 +21,15 @@
 //  (e) Graceful drain under load: Shutdown() with admitted-but-unserved
 //      requests still serves and delivers every one of them, and Run()
 //      reports a clean (0) drain.
+//  (f) Deadlines are enforced at pop time: a request whose deadline has
+//      passed comes back typed kDeadlineExceeded without running, while
+//      deadline_ns = 0 opts out.
+//  (g) No head-of-line blocking: a BFS on a tiny shard, sent after a CC
+//      on a large shard (>= 100x its cost), is answered first because
+//      waves run on dispatch workers, one job per (shard, kind).
+//  (h) Drain with a wave in flight: Shutdown() while a worker runs a
+//      wave still delivers its answer, and Run() returns 0 having joined
+//      every worker (TSan flags a leaked thread).
 
 #include <unistd.h>
 
@@ -65,10 +74,31 @@ const graph::Csr& TestCsr() {
   return graph::LoadOrGenerateDataset("GK", 16384);
 }
 
-core::EmogiConfig TestConfig() {
+core::EmogiConfig TestConfig(std::uint64_t scale = 1 << 14) {
   core::EmogiConfig config = core::EmogiConfig::MergedAligned();
-  config.device.scale_factor = 1 << 14;
+  config.device.scale_factor = scale;
   return config;
+}
+
+// Two shards far apart in cost: a CC on `large` takes hundreds of times
+// longer than a BFS on `tiny` (about 25 ms vs 0.04 ms in Release).
+constexpr std::uint64_t kTinyScale = 1 << 18;
+constexpr std::uint64_t kLargeScale = 2048;
+const graph::Csr& TinyCsr() {
+  return graph::LoadOrGenerateDataset("SK", kTinyScale);
+}
+const graph::Csr& LargeCsr() {
+  return graph::LoadOrGenerateDataset("GU", kLargeScale);
+}
+
+// Spins until `done(stats)` holds for the listener's stats snapshot.
+template <typename Pred>
+void WaitForStats(const net::Listener& listener, Pred done) {
+  for (int spin = 0; spin < 200000; ++spin) {
+    if (done(listener.Stats())) return;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  CHECK(false);
 }
 
 // Answers must match a dedicated run field-for-field; wave/lane are
@@ -271,11 +301,9 @@ void TestOverloadIsTypedAndExact() {
   }
 
   // Wait for all arrivals so the reject count below is exact.
-  for (int spin = 0; spin < 20000; ++spin) {
-    const net::ListenerStats stats = listener.Stats();
-    if (!stats.tenants.empty() && stats.tenants[0].arrivals == kFlood) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  WaitForStats(listener, [](const net::ListenerStats& stats) {
+    return !stats.tenants.empty() && stats.tenants[0].arrivals == kFlood;
+  });
   listener.Resume();
 
   int served = 0, overloaded = 0;
@@ -446,11 +474,9 @@ void TestDrainServesAdmittedBacklog() {
   for (std::uint64_t id = 1; id <= kBacklog; ++id) {
     CHECK(client.Send(id, request, &error));
   }
-  for (int spin = 0; spin < 20000; ++spin) {
-    const net::ListenerStats stats = listener.Stats();
-    if (!stats.tenants.empty() && stats.tenants[0].arrivals == kBacklog) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  WaitForStats(listener, [](const net::ListenerStats& stats) {
+    return !stats.tenants.empty() && stats.tenants[0].arrivals == kBacklog;
+  });
 
   // Shutdown with every request still queued: the drain must serve and
   // deliver all of them before the loop exits.
@@ -465,6 +491,140 @@ void TestDrainServesAdmittedBacklog() {
   client.Close(false);
 }
 
+// --- (f) deadline enforcement ---------------------------------------------
+
+void TestExpiredDeadlineIsTyped() {
+  const graph::Csr& csr = TestCsr();
+  runtime::QueryService service;
+  service.AddGraph(csr, TestConfig(), "GK");
+
+  ScratchSocket scratch;
+  net::ListenerOptions options;
+  options.address = scratch.path;
+  options.start_paused = true;  // The 1 ns deadline passes in the queue.
+  net::Listener listener(&service, options);
+  std::string error;
+  CHECK(listener.Open(&error));
+  listener.Start();
+
+  net::Client client;
+  CHECK(client.Connect(scratch.path, "deadline", 1, &error));
+  runtime::Request expiring;
+  expiring.source = graph::PickSources(csr, 1).front();
+  expiring.deadline_ns = 1;
+  runtime::Request patient = expiring;
+  patient.deadline_ns = 0;  // Opts out.
+  CHECK(client.Send(1, expiring, &error));
+  CHECK(client.Send(2, patient, &error));
+  WaitForStats(listener, [](const net::ListenerStats& stats) {
+    return !stats.tenants.empty() && stats.tenants[0].arrivals == 2;
+  });
+  listener.Resume();
+
+  for (int i = 0; i < 2; ++i) {
+    net::ResponseMsg response;
+    CHECK(client.ReadResponse(&response, &error));
+    if (response.id == 1) {
+      CHECK(response.response.status == runtime::Status::kDeadlineExceeded);
+      CHECK(response.serve_seq == 0);
+      CHECK(response.response.levels.empty());
+      CHECK(response.response.source == expiring.source);
+    } else {
+      CHECK(response.id == 2);
+      CHECK(response.response.status == runtime::Status::kOk);
+      CHECK(response.serve_seq == 1);
+    }
+  }
+  client.Close(true);
+  listener.Shutdown();
+  CHECK(listener.Join() == 0);
+  const net::ListenerStats stats = listener.Stats();
+  CHECK(stats.tenants[0].dropped_deadline == 1);
+  CHECK(stats.tenants[0].served == 1);
+  CHECK(stats.tenants[0].latencies_ns.size() == 1);
+}
+
+// --- (g) no head-of-line blocking -------------------------------------------
+
+void TestCheapWaveOvertakesCostlyWave() {
+  runtime::QueryService service;
+  service.AddGraph(TinyCsr(), TestConfig(kTinyScale), "tiny");
+  service.AddGraph(LargeCsr(), TestConfig(kLargeScale), "large");
+
+  ScratchSocket scratch;
+  net::ListenerOptions options;
+  options.address = scratch.path;
+  net::Listener listener(&service, options);
+  std::string error;
+  CHECK(listener.Open(&error));
+  listener.Start();
+
+  net::Client client;
+  CHECK(client.Connect(scratch.path, "mixed", 1, &error));
+  runtime::Request cc;
+  cc.kind = runtime::QueryKind::kCc;
+  cc.graph = 1;
+  runtime::Request bfs;
+  bfs.graph = 0;
+  bfs.source = graph::PickSources(TinyCsr(), 1).front();
+  CHECK(client.Send(1, cc, &error));
+  CHECK(client.Send(2, bfs, &error));
+
+  net::ResponseMsg first, second;
+  CHECK(client.ReadResponse(&first, &error));
+  CHECK(client.ReadResponse(&second, &error));
+  CHECK(first.response.status == runtime::Status::kOk);
+  CHECK(second.response.status == runtime::Status::kOk);
+  // One worker runs every job in turn; the order holds from two on.
+  if (listener.num_workers() >= 2) {
+    CHECK(first.id == 2);
+    CHECK(second.id == 1);
+    CHECK(first.serve_seq > second.serve_seq);  // Popped later, done first.
+  } else {
+    std::printf("test_net_serving: 1 dispatch worker, order not checked\n");
+  }
+  client.Close(true);
+  listener.Shutdown();
+  CHECK(listener.Join() == 0);
+}
+
+// --- (h) drain with a wave in flight ----------------------------------------
+
+void TestDrainDeliversInFlightWave() {
+  runtime::QueryService service;
+  service.AddGraph(LargeCsr(), TestConfig(kLargeScale), "large");
+
+  ScratchSocket scratch;
+  net::ListenerOptions options;
+  options.address = scratch.path;
+  net::Listener listener(&service, options);
+  std::string error;
+  CHECK(listener.Open(&error));
+  listener.Start();
+
+  net::Client client;
+  CHECK(client.Connect(scratch.path, "inflight", 1, &error));
+  runtime::Request cc;
+  cc.kind = runtime::QueryKind::kCc;
+  CHECK(client.Send(1, cc, &error));
+  // Popped from the WFQ but not yet answered: the wave is on a worker.
+  WaitForStats(listener, [](const net::ListenerStats& stats) {
+    return !stats.tenants.empty() && stats.tenants[0].arrivals == 1 &&
+           stats.tenants[0].queue_depth == 0;
+  });
+  CHECK(listener.Stats().tenants[0].served == 0);
+  listener.Shutdown();
+
+  net::ResponseMsg response;
+  CHECK(client.ReadResponse(&response, &error));
+  CHECK(response.id == 1);
+  CHECK(response.response.status == runtime::Status::kOk);
+  CHECK(response.response.labels.size() == LargeCsr().num_vertices());
+  CHECK(listener.Join() == 0);
+  CHECK(listener.Stats().tenants[0].served == 1);
+  client.Close(false);
+}
+
 }  // namespace
 }  // namespace emogi
 
@@ -474,6 +634,9 @@ int main() {
   emogi::TestProtocolViolationsAreTypedAndLocal();
   emogi::TestMaxConnsRefusedTyped();
   emogi::TestDrainServesAdmittedBacklog();
+  emogi::TestExpiredDeadlineIsTyped();
+  emogi::TestCheapWaveOvertakesCostlyWave();
+  emogi::TestDrainDeliversInFlightWave();
   std::printf("test_net_serving: all checks passed\n");
   return 0;
 }

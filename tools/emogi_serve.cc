@@ -291,17 +291,18 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(stats.responses_sent),
                 static_cast<unsigned long long>(stats.protocol_errors));
     if (!stats.tenants.empty()) {
-      std::printf("%-16s %6s %9s %9s %9s %9s %10s %10s\n", "tenant", "weight",
-                  "arrivals", "served", "overload", "invalid", "p50 ms",
-                  "p99 ms");
+      std::printf("%-16s %6s %9s %9s %9s %9s %9s %10s %10s\n", "tenant",
+                  "weight", "arrivals", "served", "overload", "invalid",
+                  "deadline", "p50 ms", "p99 ms");
       for (const emogi::net::TenantStats& tenant : stats.tenants) {
         std::printf(
-            "%-16s %6u %9llu %9llu %9llu %9llu %10s %10s\n",
+            "%-16s %6u %9llu %9llu %9llu %9llu %9llu %10s %10s\n",
             tenant.name.c_str(), tenant.weight,
             static_cast<unsigned long long>(tenant.arrivals),
             static_cast<unsigned long long>(tenant.served),
             static_cast<unsigned long long>(tenant.rejected_overload),
             static_cast<unsigned long long>(tenant.rejected_invalid),
+            static_cast<unsigned long long>(tenant.dropped_deadline),
             FormatDouble(
                 emogi::serve::PercentileNs(tenant.latencies_ns, 50) / 1e6)
                 .c_str(),
